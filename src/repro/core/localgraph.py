@@ -46,7 +46,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.graph.base import GraphAccess
-from repro.graph.memory import CSRGraph
 from repro.nputil import concatenated_ranges, segment_sums
 
 _INITIAL_CAPACITY = 64
@@ -112,17 +111,13 @@ class LocalView:
             LocalView.DEFAULT_VECTORIZED if vectorized is None else bool(vectorized)
         )
 
-        self._local_of: dict[int, int] = {}
-        self._global_of: list[int] = []
-        # Cached global-id array (satellite of the kernel PR): grown in
-        # step with the view so ``global_ids()`` never rebuilds it.
+        # Global id per local id, grown in step with the view so
+        # ``global_ids()`` never rebuilds it.
         self._gids = _GrowingBuffer(np.int64)
-        # Vectorized membership: local id per global id, -1 = unvisited.
-        # int32 halves the memset cost; node counts beyond 2**31 are far
-        # outside this reproduction's reach.
-        self._lut: np.ndarray | None = None
-        if self._vectorized:
-            self._lut = np.full(graph.num_nodes, -1, dtype=np.int32)
+        # Membership: local id per global id, -1 = unvisited (both
+        # restoration paths).  int32 halves the memset cost; node counts
+        # beyond 2**31 are far outside this reproduction's reach.
+        self._lut = np.full(graph.num_nodes, -1, dtype=np.int32)
 
         # Cached full adjacency of each visited node, stored concatenated
         # (global ids / probs) with per-node offsets so batch expansion
@@ -150,7 +145,11 @@ class LocalView:
         self._loop_sum = _GrowingBuffer(np.float64)
         self._tight_sum = _GrowingBuffer(np.float64)
 
-        # Degrees of seen-but-unvisited nodes (needed for p_{j,i}).
+        # Degrees of seen-but-unvisited nodes (needed for p_{j,i}),
+        # memoised only for backends without a batch degree read.
+        self._batch_degrees = (
+            type(graph).degrees_of is not GraphAccess.degrees_of
+        )
         self._outside_degree: dict[int, float] = {}
 
         self.neighbor_queries = 0
@@ -166,15 +165,14 @@ class LocalView:
     @property
     def size(self) -> int:
         """|S| — number of visited nodes."""
-        return len(self._global_of)
+        return len(self._gids)
 
     def is_visited(self, node: int) -> bool:
-        if self._lut is not None:
-            return self._lut[node] >= 0
-        return node in self._local_of
+        return self._lut[node] >= 0
 
-    def local_id(self, node: int) -> int:
-        return self._local_of[node]
+    def local_id(self, node):
+        """Local id of a global id, -1 if unvisited; an id array gathers."""
+        return self._lut[node]
 
     def global_ids(self) -> np.ndarray:
         """Global id per local id (read-only view, cached incrementally)."""
@@ -222,10 +220,10 @@ class LocalView:
         result and invalidates only entries whose ball intersects an
         updated endpoint — see ``docs/serving.md``.
         """
-        ball = np.unique(
-            np.concatenate([self._gids.view(), self._adj_ids.view()])
-        )
-        return ball.astype(np.int32, copy=False)
+        marks = np.zeros(self.graph.num_nodes, dtype=bool)
+        marks[self._gids.view()] = True
+        marks[self._adj_ids.view()] = True
+        return np.flatnonzero(marks).astype(np.int32)
 
     def visit_sequence(self, nodes: np.ndarray) -> None:
         """Visit ``nodes`` (global ids, unvisited, in order).
@@ -362,7 +360,7 @@ class LocalView:
                 ids, _ = self.adjacency(int(local))
                 for v in ids:
                     v = int(v)
-                    if v not in self._local_of:
+                    if self._lut[v] < 0:
                         self._visit(v)
                         newly.append(v)
             return newly
@@ -446,13 +444,6 @@ class LocalView:
         n_new = len(nodes)
         lut = self._lut
         lut[nodes] = base + np.arange(n_new, dtype=np.int32)
-        local_of = self._local_of
-        global_of = self._global_of
-        for node in nodes:
-            node = int(node)
-            local_of[node] = len(global_of)
-            global_of.append(node)
-            self._outside_degree.pop(node, None)
         self._gids.append(nodes)
 
         ids, probs, counts = self._fetch_adjacency(nodes)
@@ -549,34 +540,16 @@ class LocalView:
         self, nodes: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Concatenated ``(ids, probs, counts)`` of a batch's neighborhoods."""
-        if isinstance(self.graph, CSRGraph):
-            return self.graph.transition_probabilities_many(nodes)
-        parts_ids, parts_probs = [], []
-        counts = np.empty(len(nodes), dtype=np.int64)
-        for i, node in enumerate(nodes):
-            ids, probs = self.graph.transition_probabilities(int(node))
-            parts_ids.append(ids)
-            parts_probs.append(probs)
-            counts[i] = len(ids)
-        return (
-            np.concatenate(parts_ids) if parts_ids else np.empty(0, np.int64),
-            np.concatenate(parts_probs)
-            if parts_probs
-            else np.empty(0, np.float64),
-            counts,
-        )
+        return self.graph.transition_probabilities_many(nodes)
 
     # ------------------------------------------------------------------
     # Scalar restoration (reference path, kept for cross-checking)
     # ------------------------------------------------------------------
 
     def _visit(self, node: int) -> None:
-        local = len(self._global_of)
-        self._local_of[node] = local
-        self._global_of.append(node)
+        local = self.size
         self._gids.append_scalar(node)
-        if self._lut is not None:
-            self._lut[node] = local
+        self._lut[node] = local
 
         ids, probs = self.graph.transition_probabilities(node)
         self.neighbor_queries += 1
@@ -587,14 +560,8 @@ class LocalView:
         )
         w_u = self.graph.degree(node)
         self._degrees.append_scalar(w_u)
-        self._outside_degree.pop(node, None)
 
-        local_of = self._local_of
-        visited_locals = np.fromiter(
-            (local_of.get(int(v), -1) for v in ids),
-            dtype=np.int64,
-            count=len(ids),
-        )
+        visited_locals = self._lut[ids].astype(np.int64)
         inside = visited_locals >= 0
 
         # Outgoing transitions of the new node into S (skip if node is q:
@@ -617,7 +584,7 @@ class LocalView:
             p_uv = float(probs[idx])
             w_v = float(degrees[v_local])
             p_vu = p_uv * w_u / w_v if w_v > 0 else 0.0
-            if self._global_of[v_local] != self.query:
+            if v_local != 0:  # the query row of T stays zero
                 self._rows.append_scalar(v_local)
                 self._cols.append_scalar(local)
                 self._probs.append_scalar(p_vu)
@@ -653,12 +620,13 @@ class LocalView:
             self._tight_sum.append_scalar(0.0)
 
     def _degrees_of_outside(self, gids: np.ndarray) -> np.ndarray:
-        """Degrees of seen-but-unvisited nodes, cached across calls.
+        """Degrees of seen-but-unvisited nodes.
 
-        For in-memory graphs this is one vectorised array lookup; for disk
-        graphs it caches so each outside node's degree record is read once.
+        Graphs with a batch degree read (CSR, overlay) answer in one
+        gather; for the others (disk stores) a per-node memo makes each
+        outside node's degree record be read once per query.
         """
-        if isinstance(self.graph, CSRGraph):
+        if self._batch_degrees:
             return self.graph.degrees_of(gids)
         cache = self._outside_degree
         graph = self.graph

@@ -166,11 +166,13 @@ class _CacheEntry:
     ``version`` is the graph's update-log version the result was
     computed at (fast-forwarded on access when no event touched the
     ball); ``fingerprint`` is the fallback mutation detector for graphs
-    without an update log.  ``ball`` is the closed visited ball (sorted
-    ``int32``), ``seed_nodes`` / ``seed_lower`` the warm-start seed
-    (visited set in local order, engine-space lower bounds), and
-    ``max_degree`` the graph's max degree at compute time — the Sec. 5.6
-    RWR guard read it, so a kept hit must see it unchanged.
+    without an update log.  ``ball`` is the closed visited ball in the
+    compact form of :func:`_pack_ball` (``result`` keeps no copy of it;
+    hits rebuild ``stats.visited_ball``), ``seed_nodes`` / ``seed_lower``
+    the warm-start seed (visited set in local order as ``int32``,
+    engine-space lower bounds), and ``max_degree`` the graph's max
+    degree at compute time — the Sec. 5.6 RWR guard read it, so a kept
+    hit must see it unchanged.
     """
 
     result: TopKResult
@@ -180,6 +182,37 @@ class _CacheEntry:
     seed_nodes: np.ndarray | None = None
     seed_lower: np.ndarray | None = None
     max_degree: float = 0.0
+
+
+def _pack_ball(ball: np.ndarray, num_nodes: int) -> np.ndarray:
+    """Compact form of a sorted ``int32`` ball: the smaller of packed
+    membership bits (``uint8``, ⌈n/8⌉ bytes) and the ids themselves."""
+    if (num_nodes + 7) // 8 < ball.nbytes:
+        marks = np.zeros(num_nodes, dtype=bool)
+        marks[ball] = True
+        return np.packbits(marks, bitorder="little")
+    return ball
+
+
+def _ball_ids(packed: np.ndarray) -> np.ndarray:
+    """The sorted, read-only ``int32`` ids of a :func:`_pack_ball` form."""
+    if packed.dtype != np.uint8:
+        return packed
+    bits = np.unpackbits(packed, bitorder="little")
+    ids = np.flatnonzero(bits).astype(np.int32)
+    ids.flags.writeable = False
+    return ids
+
+
+def _ball_intersects(packed: np.ndarray, nodes: np.ndarray) -> bool:
+    """Whether any of ``nodes`` lies in a :func:`_pack_ball` form."""
+    nodes = np.asarray(nodes, dtype=np.int64)
+    if packed.dtype == np.uint8:
+        return bool(((packed[nodes >> 3] >> (nodes & 7)) & 1).any())
+    if len(packed) == 0:
+        return False
+    pos = np.minimum(np.searchsorted(packed, nodes), len(packed) - 1)
+    return bool((packed[pos] == nodes).any())
 
 
 class _ResultCache:
@@ -388,7 +421,10 @@ class QuerySession:
                     self._cache_hits += 1
                     self._total_wall_seconds += elapsed
                     self._wall_samples.append(elapsed)
-                    return entry.result.copy()
+                    served = entry.result.copy()
+                    if entry.ball is not None:
+                        served.stats.visited_ball = _ball_ids(entry.ball)
+                    return served
                 # Stale: drop it, optionally keeping its bounds as a
                 # warm-start seed when the update direction allows.
                 self._cache.evict(key)
@@ -406,15 +442,23 @@ class QuerySession:
         )
         result.stats.wall_time_seconds = time.monotonic() - started
         if result.exact:
+            # Store a private copy: the caller owns ``result`` and may
+            # mutate it after we return.  The ball lives on the entry,
+            # packed, not on the copy.
+            stored = result.copy()
+            stored.stats.visited_ball = None
+            ball = result.stats.visited_ball
             entry = _CacheEntry(
-                # Store a private copy: the caller owns ``result`` and
-                # may mutate it after we return.
-                result=result.copy(),
+                result=stored,
                 version=version_now,
                 fingerprint=fingerprint_now,
-                ball=result.stats.visited_ball,
+                ball=(
+                    _pack_ball(ball, self.graph.num_nodes)
+                    if ball is not None
+                    else None
+                ),
                 seed_nodes=(
-                    outcome.view.global_ids().astype(np.int64, copy=True)
+                    outcome.view.global_ids().astype(np.int32)
                     if outcome is not None
                     else None
                 ),
@@ -625,7 +669,7 @@ class QuerySession:
             count=2 * len(events),
         )
         touched = np.unique(touched)
-        if not np.isin(touched, entry.ball).any():
+        if not _ball_intersects(entry.ball, touched):
             if self._needs_degree_guard and (
                 float(self.graph.max_degree) != entry.max_degree
             ):
@@ -730,7 +774,7 @@ class QuerySession:
         # neighbor PHP value, so evaluating it at the neighbor lower
         # (upper) bounds yields a scale lower (upper) bound.
         nbr_ids, nbr_probs = graph.transition_probabilities(query)
-        nbr_locals = np.array([view.local_id(int(v)) for v in nbr_ids])
+        nbr_locals = view.local_id(nbr_ids)
         w_q = graph.degree(query)
         scale_lb = measure.query_scale(
             w_q, nbr_probs, outcome.lower[nbr_locals]

@@ -10,9 +10,12 @@ topology at no extra cost.
 with an edge delta (insertions, deletions, weight changes) kept in
 per-node hash maps.  It implements the full
 :class:`~repro.graph.base.GraphAccess` contract, so ``flos_top_k`` — and
-every other local method in the library — runs on it unchanged.  Neighbor
-queries cost the base CSR slice plus an O(delta_u) merge; when the delta
-grows large, :meth:`compact` folds it into a fresh CSR graph.
+every other local method in the library — runs on it unchanged.  Batch
+reads (:meth:`DynamicGraph.transition_probabilities_many`,
+:meth:`DynamicGraph.degrees_of`) cost one base CSR gather plus a splice
+of the merged row of each node that has a delta; a node's row is merged
+once per change to its delta.  When the delta grows large,
+:meth:`compact` folds it into a fresh CSR graph.
 
 Global baselines, by contrast, would have to rebuild their matrices
 (GI/Castanet) or redo their factorisation/clustering/embedding
@@ -29,6 +32,7 @@ from repro.graph.base import GraphAccess
 from repro.graph.builder import GraphBuilder
 from repro.graph.memory import CSRGraph
 from repro.graph.updates import UpdateLog
+from repro.nputil import concatenated_ranges, segment_sums
 
 
 class DynamicGraph(GraphAccess):
@@ -53,10 +57,13 @@ class DynamicGraph(GraphAccess):
         # Per-node delta: {neighbor: weight}; weight None is a tombstone
         # masking a base edge.
         self._delta: dict[int, dict[int, float | None]] = {}
-        # Per-node delta arrays (insertion order, NaN = tombstone),
-        # rebuilt lazily — the vectorized ``neighbors`` merge reads
-        # these instead of iterating the dict on every call.
-        self._delta_arrays: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        # Merged (base ⊕ delta) rows of nodes with a delta, built on
+        # first read and dropped when the node's delta changes, so a
+        # read-heavy workload merges once per mutated node, not per read.
+        self._merged: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        # True where a node's delta record is non-empty: batch reads
+        # find the rows to merge with one gather, not a dict probe each.
+        self._has_delta = np.zeros(base.num_nodes, dtype=bool)
         self._degree_delta = np.zeros(base.num_nodes, dtype=np.float64)
         self._edge_count_delta = 0
         self._max_degree_dirty = False
@@ -101,8 +108,10 @@ class DynamicGraph(GraphAccess):
         else:
             self._delta[u].pop(v, None)
             self._delta[v].pop(u, None)
-            self._delta_arrays.pop(u, None)
-            self._delta_arrays.pop(v, None)
+            self._merged.pop(u, None)
+            self._merged.pop(v, None)
+            self._has_delta[u] = bool(self._delta[u])
+            self._has_delta[v] = bool(self._delta[v])
         self._degree_delta[u] -= old
         self._degree_delta[v] -= old
         self._edge_count_delta -= 1
@@ -161,102 +170,113 @@ class DynamicGraph(GraphAccess):
     def neighbors(self, u: int) -> tuple[np.ndarray, np.ndarray]:
         """Merged (base ⊕ delta) adjacency of ``u``.
 
-        This is the hottest read path of every local search on an
-        overlay, so the merge is fully vectorized: the per-node delta
-        is cached as aligned id/weight arrays (NaN marks a tombstone),
-        base entries are matched against the sorted delta ids with one
-        ``searchsorted`` gather, and delta-only insertions are appended
-        with an ``np.isin`` membership test over the sorted base ids.
-        Output order matches the scalar reference
-        (:meth:`_neighbors_scalar`, pinned by a hypothesis test): base
-        adjacency order with overridden weights in place and tombstones
-        dropped, then delta-only edges in insertion order.
+        Nodes without a delta return the base CSR slice.  For the others
+        the merged row is built once (:meth:`_merge`) and served from a
+        per-node cache until the node's delta changes; the cached
+        arrays are read-only.
         """
         self.validate_node(u)
-        base_ids, base_w = self._base.neighbors(u)
-        delta = self._delta.get(u)
-        if not delta:
-            return base_ids, base_w
-        d_ids, d_w = self._delta_arrays_of(u)
+        if not self._has_delta[u]:
+            return self._base.neighbors(u)
+        merged = self._merged.get(u)
+        if merged is None:
+            merged = self._merged[u] = self._merge(u)
+        return merged
 
-        # Match base entries against the delta: one sorted-side
-        # searchsorted instead of a Python dict probe per neighbor.
-        order = np.argsort(d_ids, kind="stable")
-        sorted_ids = d_ids[order]
-        pos = np.searchsorted(sorted_ids, base_ids)
-        pos_clipped = np.minimum(pos, len(sorted_ids) - 1)
-        in_delta = sorted_ids[pos_clipped] == base_ids
-        override_w = d_w[order][pos_clipped]
-        tombstoned = in_delta & np.isnan(override_w)
+    def _merge(self, u: int) -> tuple[np.ndarray, np.ndarray]:
+        """Vectorized merge of ``u``'s base row with its delta record.
 
-        keep = ~tombstoned
-        merged_w = np.where(in_delta, override_w, base_w)[keep]
-        merged_ids = base_ids[keep]
-
-        # Delta-only insertions (not in the sorted base ids), appended
-        # in insertion order to mirror the scalar dict iteration.
-        extra = ~np.isnan(d_w)
-        extra &= ~np.isin(d_ids, base_ids, assume_unique=True)
-        if extra.any():
-            merged_ids = np.concatenate([merged_ids, d_ids[extra]])
-            merged_w = np.concatenate([merged_w, d_w[extra]])
-        return merged_ids, merged_w
-
-    def _neighbors_scalar(self, u: int) -> tuple[np.ndarray, np.ndarray]:
-        """Pure-Python reference merge (cross-checked against
-        :meth:`neighbors` by the property tests)."""
-        self.validate_node(u)
-        base_ids, base_w = self._base.neighbors(u)
-        delta = self._delta.get(u)
-        if not delta:
-            return base_ids, base_w
-        ids: list[int] = []
-        weights: list[float] = []
-        for v, w in zip(base_ids, base_w):
-            v = int(v)
-            if v in delta:
-                override = delta[v]
-                if override is not None:
-                    ids.append(v)
-                    weights.append(override)
-                # tombstone: skip the base edge
-            else:
-                ids.append(v)
-                weights.append(float(w))
-        base_set = set(map(int, base_ids))
-        for v, w in delta.items():
-            if w is not None and v not in base_set:
-                ids.append(v)
-                weights.append(w)
-        return (
-            np.array(ids, dtype=np.int64),
-            np.array(weights, dtype=np.float64),
-        )
-
-    def _delta_arrays_of(self, u: int) -> tuple[np.ndarray, np.ndarray]:
-        """Cached ``(ids, weights)`` arrays of ``u``'s delta record.
-
-        Insertion order, weight NaN for tombstones; invalidated by
-        :meth:`_set_delta` / :meth:`remove_edge` and rebuilt on the
-        next read, so a read-heavy workload pays the dict walk once
-        per mutated node, not once per neighbor query.
+        The delta is laid out as aligned id/weight arrays (insertion
+        order, NaN marks a tombstone); base entries are matched against
+        the sorted delta ids with one ``searchsorted`` gather instead of
+        a dict probe per neighbor, and the delta ids that matched no
+        base entry are the insertions.  Output order matches the scalar
+        reference merge in ``tests/reference`` (pinned by a hypothesis
+        test): base adjacency order with overridden weights in place and
+        tombstones dropped, then delta-only edges in insertion order.
         """
-        cached = self._delta_arrays.get(u)
-        if cached is not None:
-            return cached
+        base_ids, base_w = self._base.neighbors(u)
         delta = self._delta[u]
-        ids = np.fromiter(delta.keys(), dtype=np.int64, count=len(delta))
-        weights = np.fromiter(
+        d_ids = np.fromiter(delta.keys(), dtype=np.int64, count=len(delta))
+        d_w = np.fromiter(
             (np.nan if w is None else w for w in delta.values()),
             dtype=np.float64,
             count=len(delta),
         )
-        self._delta_arrays[u] = (ids, weights)
-        return ids, weights
+
+        order = np.argsort(d_ids, kind="stable")
+        sorted_ids = d_ids[order]
+        pos = np.minimum(
+            np.searchsorted(sorted_ids, base_ids), len(sorted_ids) - 1
+        )
+        in_delta = sorted_ids[pos] == base_ids
+        override_w = d_w[order][pos]
+        keep = ~(in_delta & np.isnan(override_w))
+        merged_w = np.where(in_delta, override_w, base_w)[keep]
+        merged_ids = base_ids[keep]
+
+        # Delta-only insertions, appended in insertion order to mirror
+        # the scalar dict iteration.
+        extra = ~np.isnan(d_w)
+        extra[order[pos[in_delta]]] = False
+        if extra.any():
+            merged_ids = np.concatenate([merged_ids, d_ids[extra]])
+            merged_w = np.concatenate([merged_w, d_w[extra]])
+        merged_ids.flags.writeable = False
+        merged_w.flags.writeable = False
+        return merged_ids, merged_w
 
     def degree(self, u: int) -> float:
         self.validate_node(u)
         return self._base.degree(u) + float(self._degree_delta[u])
+
+    def degrees_of(self, nodes: np.ndarray) -> np.ndarray:
+        """Batched :meth:`degree`: the same float64 sum, one gather."""
+        nodes = np.asarray(nodes, dtype=np.int64)
+        return self._base.degrees[nodes] + self._degree_delta[nodes]
+
+    def transition_probabilities_many(
+        self, nodes: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Batched :meth:`transition_probabilities` over the overlay.
+
+        Rows without a delta are pulled from the base CSR with one
+        multi-slice gather; only the rows of nodes whose delta record is
+        non-empty are merged, through :meth:`neighbors`, and spliced in.
+        Each row is divided by its own weight sum, as the per-node
+        method does, so integer weights give bitwise-equal results.
+        """
+        nodes = np.asarray(nodes, dtype=np.int64)
+        base = self._base
+        indptr = base._indptr
+        starts = indptr[nodes]
+        counts = indptr[nodes + 1] - starts
+        dirty = np.flatnonzero(self._has_delta[nodes])
+        if len(dirty) == 0:
+            take = concatenated_ranges(starts, counts)
+            ids = base._indices[take]
+            weights = base._weights[take]
+        else:
+            merged = [self.neighbors(int(nodes[i])) for i in dirty]
+            counts[dirty] = [len(m_ids) for m_ids, _ in merged]
+            out_starts = np.cumsum(counts) - counts
+            clean = np.ones(len(nodes), dtype=bool)
+            clean[dirty] = False
+            src = concatenated_ranges(starts[clean], counts[clean])
+            dst = concatenated_ranges(out_starts[clean], counts[clean])
+            spliced = concatenated_ranges(out_starts[dirty], counts[dirty])
+            total = int(counts.sum())
+            ids = np.empty(total, dtype=np.int64)
+            weights = np.empty(total, dtype=np.float64)
+            ids[dst] = base._indices[src]
+            weights[dst] = base._weights[src]
+            ids[spliced] = np.concatenate([m_ids for m_ids, _ in merged])
+            weights[spliced] = np.concatenate([m_w for _, m_w in merged])
+        owner = np.repeat(np.arange(len(nodes), dtype=np.int64), counts)
+        sums = segment_sums(weights, owner, len(nodes))
+        # Rows summing to 0 (isolated nodes) come out all-zero.
+        sums = np.where(sums > 0.0, sums, np.inf)
+        return ids, weights / sums[owner], counts
 
     @property
     def max_degree(self) -> float:
@@ -287,7 +307,8 @@ class DynamicGraph(GraphAccess):
 
     def _set_delta(self, u: int, v: int, weight: float | None) -> None:
         self._delta.setdefault(u, {})[v] = weight
-        self._delta_arrays.pop(u, None)
+        self._merged.pop(u, None)
+        self._has_delta[u] = True
 
 
 #: ISSUE/paper alias — the overlay is called a "delta graph" in the
